@@ -108,7 +108,16 @@ func (c Counters) ObsMetrics(emit func(name string, value float64)) {
 // Channel models one DDR3 channel: its command bus, data bus, and the
 // ranks/banks behind them. The zero value is not usable; use NewChannel.
 type Channel struct {
+	// P is the channel's parameter set. It is read-only after NewChannel:
+	// the bank-group resolution below is derived from it once.
 	P Params
+
+	// groupSize is the banks per bank group (0 when groups are disabled),
+	// and ccdS/rrdS/wtrS the cross-group tCCD_S/tRRD_S/tWTR_S (the base
+	// values without groups), so the legality probe resolves bank-group
+	// timing without copying P through Params' value-receiver helpers.
+	groupSize        int
+	ccdS, rrdS, wtrS int
 
 	ranks        []rankState
 	derate       []Derate // per-rank additive timing margins (nil = nominal)
@@ -127,10 +136,16 @@ const dataOccWindow = 16
 
 // NewChannel builds a channel in the all-banks-precharged state.
 func NewChannel(p Params) *Channel {
-	ch := &Channel{P: p, lastCmdCycle: NeverCycle}
+	ch := &Channel{
+		P: p, lastCmdCycle: NeverCycle,
+		ccdS: p.CCDOther(), rrdS: p.RRDOther(), wtrS: p.WTROther(),
+	}
 	groups := p.BankGroups
 	if groups < 1 {
 		groups = 1
+	}
+	if groups > 1 {
+		ch.groupSize = p.BanksPerRank / groups
 	}
 	ch.ranks = make([]rankState, p.RanksPerChan)
 	for r := range ch.ranks {
@@ -183,6 +198,14 @@ func (ch *Channel) PowerDownCycles(rank int) int64 {
 
 func (ch *Channel) bank(cmd Command) *bankState { return &ch.ranks[cmd.Rank].banks[cmd.Bank] }
 
+// group is Params.BankGroup without the Params copy.
+func (ch *Channel) group(bank int) int {
+	if ch.groupSize == 0 {
+		return 0
+	}
+	return bank / ch.groupSize
+}
+
 // errNotReady is the shared rejection value of the allocation-free probe
 // path: schedulers that poll legality every cycle and back off on failure
 // never read the constraint detail, so building a TimingError for them
@@ -234,7 +257,7 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		return reject(explain, cmd, cycle, "tRFC (refresh in progress)", rk.refreshUntil)
 	}
 
-	p := ch.P
+	p := &ch.P
 	der := ch.der(cmd.Rank)
 	switch cmd.Kind {
 	case KindActivate:
@@ -248,11 +271,11 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		if cycle < bk.lastAct+int64(p.TRC+der.TRC) {
 			return reject(explain, cmd, cycle, "tRC", bk.lastAct+int64(p.TRC+der.TRC))
 		}
-		if cycle < rk.actHist[0]+int64(p.RRDOther()+der.TRRD) {
-			return reject(explain, cmd, cycle, "tRRD", rk.actHist[0]+int64(p.RRDOther()+der.TRRD))
+		if cycle < rk.actHist[0]+int64(ch.rrdS+der.TRRD) {
+			return reject(explain, cmd, cycle, "tRRD", rk.actHist[0]+int64(ch.rrdS+der.TRRD))
 		}
-		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD) {
-			return reject(explain, cmd, cycle, "tRRD_L (same bank group)", rk.groupLastAct[g]+int64(p.RRDSame()+der.TRRD))
+		if g := ch.group(cmd.Bank); cycle < rk.groupLastAct[g]+int64(p.TRRD+der.TRRD) {
+			return reject(explain, cmd, cycle, "tRRD_L (same bank group)", rk.groupLastAct[g]+int64(p.TRRD+der.TRRD))
 		}
 		if oldest := rk.actHist[3]; oldest != NeverCycle && cycle < oldest+int64(p.TFAW+der.TFAW) {
 			return reject(explain, cmd, cycle, "tFAW", oldest+int64(p.TFAW+der.TFAW))
@@ -266,21 +289,20 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		}
-		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		if cycle < rk.lastCAS+int64(ch.ccdS+der.TCCD) {
+			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(ch.ccdS+der.TCCD))
 		}
-		if cycle < rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR) {
-			return reject(explain, cmd, cycle, "tWTR", rk.lastWriteDataEnd+int64(p.WTROther()+der.TWTR))
+		if cycle < rk.lastWriteDataEnd+int64(ch.wtrS+der.TWTR) {
+			return reject(explain, cmd, cycle, "tWTR", rk.lastWriteDataEnd+int64(ch.wtrS+der.TWTR))
 		}
-		if g := p.BankGroup(cmd.Bank); true {
-			if cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
-				return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
-			}
-			if cycle < rk.groupLastWriteDataEnd[g]+int64(p.WTRSame()+der.TWTR) {
-				return reject(explain, cmd, cycle, "tWTR_L (same bank group)", rk.groupLastWriteDataEnd[g]+int64(p.WTRSame()+der.TWTR))
-			}
+		g := ch.group(cmd.Bank)
+		if cycle < rk.groupLastCAS[g]+int64(p.TCCD+der.TCCD) {
+			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.TCCD+der.TCCD))
 		}
-		if err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCAS), explain); err != nil {
+		if cycle < rk.groupLastWriteDataEnd[g]+int64(p.TWTR+der.TWTR) {
+			return reject(explain, cmd, cycle, "tWTR_L (same bank group)", rk.groupLastWriteDataEnd[g]+int64(p.TWTR+der.TWTR))
+		}
+		if err := ch.checkDataBus(cmd, cycle, int64(p.TCAS), explain); err != nil {
 			return err
 		}
 
@@ -292,13 +314,13 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 		if cycle < bk.lastAct+int64(p.TRCD+der.TRCD) {
 			return reject(explain, cmd, cycle, "tRCD", bk.lastAct+int64(p.TRCD+der.TRCD))
 		}
-		if cycle < rk.lastCAS+int64(p.CCDOther()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(p.CCDOther()+der.TCCD))
+		if cycle < rk.lastCAS+int64(ch.ccdS+der.TCCD) {
+			return reject(explain, cmd, cycle, "tCCD", rk.lastCAS+int64(ch.ccdS+der.TCCD))
 		}
-		if g := p.BankGroup(cmd.Bank); cycle < rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD) {
-			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.CCDSame()+der.TCCD))
+		if g := ch.group(cmd.Bank); cycle < rk.groupLastCAS[g]+int64(p.TCCD+der.TCCD) {
+			return reject(explain, cmd, cycle, "tCCD_L (same bank group)", rk.groupLastCAS[g]+int64(p.TCCD+der.TCCD))
 		}
-		if err := ch.checkDataBus(cmd, cycle, cycle+int64(p.TCWD), explain); err != nil {
+		if err := ch.checkDataBus(cmd, cycle, int64(p.TCWD), explain); err != nil {
 			return err
 		}
 
@@ -355,11 +377,15 @@ func (ch *Channel) canIssue(cmd Command, cycle int64, explain bool) error {
 	return nil
 }
 
-// checkDataBus validates a burst starting at dataStart against recent and
-// scheduled transfers: bursts must not overlap, and transfers on different
-// ranks must be separated by tRTRS.
-func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain bool) error {
-	p := ch.P
+// checkDataBus validates a burst starting offset cycles after the CAS
+// (tCAS for a read, tCWD for a write) against recent and scheduled
+// transfers: bursts must not overlap, and transfers on different ranks must
+// be separated by tRTRS. The reported ready cycle subtracts the command's
+// own offset, so it is the earliest CAS cycle whose burst clears the
+// conflict.
+func (ch *Channel) checkDataBus(cmd Command, cycle, offset int64, explain bool) error {
+	p := &ch.P
+	dataStart := cycle + offset
 	end := dataStart + int64(p.TBURST)
 	for _, s := range ch.dataOcc {
 		gap := int64(0)
@@ -372,7 +398,7 @@ func (ch *Channel) checkDataBus(cmd Command, cycle, dataStart int64, explain boo
 			}
 			return reject(explain, cmd, cycle,
 				fmt.Sprintf("data bus conflict with rank %d burst [%d,%d)", s.rank, s.start, s.end),
-				s.end+gap-int64(p.TCAS))
+				s.end+gap-offset)
 		}
 	}
 	return nil
@@ -390,7 +416,7 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	if err := ch.CanIssue(cmd, cycle); err != nil {
 		return err
 	}
-	p := ch.P
+	p := &ch.P
 	rk := &ch.ranks[cmd.Rank]
 	ch.lastCmdCycle = cycle
 	if cycle > ch.now {
@@ -406,7 +432,7 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 		bk.prechargeStart = NeverCycle
 		copy(rk.actHist[1:], rk.actHist[:3])
 		rk.actHist[0] = cycle
-		rk.groupLastAct[p.BankGroup(cmd.Bank)] = cycle
+		rk.groupLastAct[ch.group(cmd.Bank)] = cycle
 		if suppressed {
 			ch.Counters.SuppressedActs++
 		} else {
@@ -417,7 +443,7 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 		bk := ch.bank(cmd)
 		bk.lastReadCAS = cycle
 		rk.lastCAS = cycle
-		rk.groupLastCAS[p.BankGroup(cmd.Bank)] = cycle
+		rk.groupLastCAS[ch.group(cmd.Bank)] = cycle
 		ch.recordData(cmd.Rank, cycle+int64(p.TCAS))
 		if cmd.Kind == KindReadAP {
 			der := ch.der(cmd.Rank)
@@ -443,11 +469,11 @@ func (ch *Channel) IssueEx(cmd Command, cycle int64, suppressed bool) error {
 	case KindWrite, KindWriteAP:
 		bk := ch.bank(cmd)
 		rk.lastCAS = cycle
-		rk.groupLastCAS[p.BankGroup(cmd.Bank)] = cycle
+		rk.groupLastCAS[ch.group(cmd.Bank)] = cycle
 		dataEnd := cycle + int64(p.TCWD) + int64(p.TBURST)
 		bk.writeDataEnd = dataEnd
 		rk.lastWriteDataEnd = dataEnd
-		rk.groupLastWriteDataEnd[p.BankGroup(cmd.Bank)] = dataEnd
+		rk.groupLastWriteDataEnd[ch.group(cmd.Bank)] = dataEnd
 		ch.recordData(cmd.Rank, cycle+int64(p.TCWD))
 		if cmd.Kind == KindWriteAP {
 			der := ch.der(cmd.Rank)

@@ -249,6 +249,26 @@ func TestRankToRankSwitchTRTRS(t *testing.T) {
 	mustIssue(t, ch, rd(1, 0), c0+int64(p.TBURST+p.TRTRS))
 }
 
+// TestWriteDataBusReadyAt checks the ready cycle a data-bus rejection
+// reports for a write: its burst starts tCWD after the CAS, not tCAS.
+func TestWriteDataBusReadyAt(t *testing.T) {
+	p := testParams()
+	ch := NewChannel(p)
+	mustIssue(t, ch, act(0, 0, 1), 0)
+	mustIssue(t, ch, act(1, 0, 1), 1)
+	c0 := int64(p.TRCD)
+	mustIssue(t, ch, rd(0, 0), c0)
+	// Rank 1 has no other constraint pending from cycle TRCD+1 on, so only
+	// rank 0's burst plus tRTRS blocks the write.
+	te := wantReject(t, ch, wr(1, 0), int64(p.TRCD+1), "data bus")
+	want := c0 + int64(p.TCAS+p.TBURST+p.TRTRS-p.TCWD)
+	if te.ReadyAt != want {
+		t.Fatalf("ReadyAt = %d, want %d", te.ReadyAt, want)
+	}
+	wantReject(t, ch, wr(1, 0), te.ReadyAt-1, "data bus")
+	mustIssue(t, ch, wr(1, 0), te.ReadyAt)
+}
+
 func TestSameRankBackToBackReadsNeedOnlyTCCD(t *testing.T) {
 	p := testParams()
 	ch := NewChannel(p)
@@ -426,5 +446,43 @@ func TestGreedyClosedPageStreamIsLegal(t *testing.T) {
 	}
 	if ch.Counters.Reads+ch.Counters.Writes != 500 {
 		t.Fatalf("CAS count = %d, want 500", ch.Counters.Reads+ch.Counters.Writes)
+	}
+}
+
+// TestRejectedReadyProbeAllocatesNothing pins the allocation-free probe:
+// FR-FCFS schedulers call Ready for many commands per cycle and back off
+// on a rejection, so no rejection path may build an error value.
+func TestRejectedReadyProbeAllocatesNothing(t *testing.T) {
+	p := DDR4_2400() // bank groups exercise the group timing path too
+	ch := NewChannel(p)
+	ch.SetDerate(-1, Derate{TRCD: 1})
+	mustIssue(t, ch, act(0, 0, 1), 0)
+	mustIssue(t, ch, act(1, 0, 1), 1)
+	c0 := int64(p.TRCD + 1)
+	mustIssue(t, ch, rd(0, 0), c0)
+	probes := []struct {
+		cmd   Command
+		cycle int64
+	}{
+		{rd(0, 0), c0},                       // command bus
+		{rd(1, 0), c0 + 1},                   // data bus (rank switch)
+		{wr(1, 0), c0 + 1},                   // data bus, write offset
+		{rd(0, 1), c0 + 1},                   // closed bank
+		{act(0, 0, 2), c0 + 1},               // bank already open
+		{pre(0, 0), c0 + 1},                  // tRAS
+		{Command{Kind: KindRefresh}, c0 + 1}, // banks open
+	}
+	for _, pr := range probes {
+		if ch.Ready(pr.cmd, pr.cycle) {
+			t.Fatalf("Ready(%v, %d) = true, want a rejection", pr.cmd, pr.cycle)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, pr := range probes {
+			ch.Ready(pr.cmd, pr.cycle)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rejected Ready probes allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -43,12 +43,16 @@ func (ch *Channel) SetDerate(rank int, d Derate) {
 	}
 }
 
-// der returns the rank's derate (zero when none installed).
-func (ch *Channel) der(rank int) Derate {
+// noDerate is what der returns for a channel without derates.
+var noDerate Derate
+
+// der returns the rank's derate (zero when none installed). The result
+// points into the channel's own table and must not be written through.
+func (ch *Channel) der(rank int) *Derate {
 	if ch.derate == nil || rank < 0 || rank >= len(ch.derate) {
-		return Derate{}
+		return &noDerate
 	}
-	return ch.derate[rank]
+	return &ch.derate[rank]
 }
 
 // SetDerate installs additive timing margins on the checker's shadow

@@ -7,6 +7,8 @@
 package mem
 
 import (
+	"slices"
+
 	"fsmem/internal/dram"
 	"fsmem/internal/fault"
 	"fsmem/internal/fsmerr"
@@ -124,8 +126,16 @@ type Controller struct {
 
 	Cycle int64
 
+	// ReadQ and WriteQ are the per-domain queues in arrival order. They are
+	// read-only outside the controller: the Enqueue, Pop and Remove methods
+	// are the only writers, and they keep the age views below in step.
 	ReadQ  [][]*Request // per-domain demand reads, arrival order
 	WriteQ [][]*Request // per-domain write-backs, arrival order
+
+	// readAge and writeAge hold every queued request of a class ordered by
+	// (Arrive, Domain, queue position) — the stable arrival-order merge of
+	// ReadQ or WriteQ (see ReadAge).
+	readAge, writeAge []*Request
 
 	Dom []stats.Domain
 	// LatHist collects per-domain demand-read latency distributions.
@@ -217,9 +227,11 @@ func (c *Controller) EnqueueRead(domain int, a dram.Address, done func()) bool {
 		return false
 	}
 	c.Obs.Enqueue(domain, a, c.Cycle)
-	c.ReadQ[domain] = append(c.ReadQ[domain], &Request{
+	r := &Request{
 		Domain: domain, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1, done: done,
-	})
+	}
+	c.ReadQ[domain] = append(c.ReadQ[domain], r)
+	c.readAge = insertAge(c.readAge, r)
 	return true
 }
 
@@ -231,10 +243,35 @@ func (c *Controller) EnqueueWrite(domain int, a dram.Address) bool {
 		c.Obs.QueueFull(domain, c.Cycle, true)
 		return false
 	}
-	c.WriteQ[domain] = append(c.WriteQ[domain], &Request{
+	r := &Request{
 		Domain: domain, Write: true, Addr: a, Arrive: c.Cycle, FirstCmd: -1, DataEnd: -1,
-	})
+	}
+	c.WriteQ[domain] = append(c.WriteQ[domain], r)
+	c.writeAge = insertAge(c.writeAge, r)
 	return true
+}
+
+// insertAge places r, just appended at the tail of its domain's queue, into
+// an age view: after every request with a smaller (Arrive, Domain), and
+// after its own domain's earlier requests. Arrivals come at the current
+// cycle, so the scan from the tail usually stops at once.
+func insertAge(age []*Request, r *Request) []*Request {
+	i := len(age)
+	for i > 0 {
+		o := age[i-1]
+		if o.Arrive < r.Arrive || (o.Arrive == r.Arrive && o.Domain <= r.Domain) {
+			break
+		}
+		i--
+	}
+	return slices.Insert(age, i, r)
+}
+
+// dropAge deletes r from an age view in place.
+func dropAge(age *[]*Request, r *Request) {
+	if i := slices.Index(*age, r); i >= 0 {
+		*age = slices.Delete(*age, i, i+1)
+	}
 }
 
 // NextPrefetch pops a high-confidence prefetch candidate for the domain, or
@@ -444,50 +481,62 @@ func (c *Controller) finish(req *Request) {
 	}
 }
 
+// ReadAge returns every queued demand read ordered by (Arrive, Domain,
+// queue position): the order a stable sort by arrival of the domain queues
+// laid end to end yields. The slice is the controller's own view, kept up
+// to date on every enqueue and removal: callers must not modify it, and it
+// is only valid until the controller's queues next change.
+func (c *Controller) ReadAge() []*Request { return c.readAge }
+
+// WriteAge is ReadAge for buffered writes.
+func (c *Controller) WriteAge() []*Request { return c.writeAge }
+
 // PopRead removes and returns the oldest read of the domain, or nil.
 func (c *Controller) PopRead(domain int) *Request {
-	q := c.ReadQ[domain]
-	if len(q) == 0 {
-		return nil
-	}
-	c.ReadQ[domain] = q[1:]
-	return q[0]
+	return pop(c.ReadQ, &c.readAge, domain)
 }
 
 // PopWrite removes and returns the oldest write of the domain, or nil.
 func (c *Controller) PopWrite(domain int) *Request {
-	q := c.WriteQ[domain]
+	return pop(c.WriteQ, &c.writeAge, domain)
+}
+
+func pop(qs [][]*Request, age *[]*Request, domain int) *Request {
+	q := qs[domain]
 	if len(q) == 0 {
 		return nil
 	}
-	c.WriteQ[domain] = q[1:]
+	qs[domain] = q[1:]
+	dropAge(age, q[0])
 	return q[0]
 }
 
 // RemoveRead deletes the request from its domain's read queue, returning a
 // CodeQueue error if it is not there.
 func (c *Controller) RemoveRead(req *Request) error {
-	return c.removeFrom(c.ReadQ, req, "mem.RemoveRead")
+	return c.removeFrom(c.ReadQ, &c.readAge, req, "mem.RemoveRead")
 }
 
 // RemoveWrite deletes the request from its domain's write queue, returning
 // a CodeQueue error if it is not there.
 func (c *Controller) RemoveWrite(req *Request) error {
-	return c.removeFrom(c.WriteQ, req, "mem.RemoveWrite")
+	return c.removeFrom(c.WriteQ, &c.writeAge, req, "mem.RemoveWrite")
 }
 
-func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error {
+// removeFrom deletes req from its domain queue and the class's age view,
+// both in place: every caller stops iterating a queue once it removes from
+// it.
+func (c *Controller) removeFrom(qs [][]*Request, age *[]*Request, req *Request, op string) error {
 	if req.Domain < 0 || req.Domain >= len(qs) {
 		e := fsmerr.New(fsmerr.CodeQueue, op, "domain %d out of range [0,%d)", req.Domain, len(qs))
 		e.Cycle = c.Cycle
 		return e
 	}
 	q := qs[req.Domain]
-	for i, r := range q {
-		if r == req {
-			qs[req.Domain] = append(q[:i:i], q[i+1:]...)
-			return nil
-		}
+	if i := slices.Index(q, req); i >= 0 {
+		qs[req.Domain] = slices.Delete(q, i, i+1)
+		dropAge(age, req)
+		return nil
 	}
 	e := fsmerr.New(fsmerr.CodeQueue, op, "request dom=%d addr=%s not in queue", req.Domain, req.Addr)
 	e.Cycle = c.Cycle
@@ -495,22 +544,10 @@ func (c *Controller) removeFrom(qs [][]*Request, req *Request, op string) error 
 }
 
 // PendingReads returns the total queued demand reads across domains.
-func (c *Controller) PendingReads() int {
-	n := 0
-	for _, q := range c.ReadQ {
-		n += len(q)
-	}
-	return n
-}
+func (c *Controller) PendingReads() int { return len(c.readAge) }
 
 // PendingWrites returns the total buffered writes across domains.
-func (c *Controller) PendingWrites() int {
-	n := 0
-	for _, q := range c.WriteQ {
-		n += len(q)
-	}
-	return n
-}
+func (c *Controller) PendingWrites() int { return len(c.writeAge) }
 
 // Drained reports whether no work remains anywhere in the controller.
 func (c *Controller) Drained() bool {

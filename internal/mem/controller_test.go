@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"fsmem/internal/dram"
@@ -205,5 +208,81 @@ func TestDrained(t *testing.T) {
 	c.EnqueueRead(0, addr(0, 0, 1), nil)
 	if c.Drained() {
 		t.Fatal("queued read should block drained")
+	}
+}
+
+// ageOracle is the order the age views must hold: the domain queues laid
+// end to end, stably sorted by arrival.
+func ageOracle(qs [][]*Request) []*Request {
+	var all []*Request
+	for _, q := range qs {
+		all = append(all, q...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Arrive < all[j].Arrive })
+	return all
+}
+
+func queued(qs [][]*Request) int {
+	n := 0
+	for _, q := range qs {
+		n += len(q)
+	}
+	return n
+}
+
+// TestAgeViewsMatchStableMerge drives random enqueue, reject, remove and
+// pop sequences and checks after every step that ReadAge/WriteAge equal
+// the stable arrival-order merge of ReadQ/WriteQ and that the pending
+// counts equal their lengths.
+func TestAgeViewsMatchStableMerge(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewController(dram.DDR3_1600(), Config{Domains: 4, ReadCap: 6, WriteCap: 5}, nopSched{})
+		pick := func(qs [][]*Request) *Request {
+			d := rng.Intn(len(qs))
+			if len(qs[d]) == 0 {
+				return &Request{Domain: d} // not queued: removal must fail
+			}
+			return qs[d][rng.Intn(len(qs[d]))]
+		}
+		for step := 0; step < 2000; step++ {
+			d := rng.Intn(c.Cfg.Domains)
+			a := addr(rng.Intn(2), rng.Intn(8), rng.Intn(4))
+			switch op := rng.Intn(10); {
+			case op < 3:
+				c.EnqueueRead(d, a, nil) // rejected when the queue is full
+			case op < 5:
+				c.EnqueueWrite(d, a)
+			case op == 5:
+				r := pick(c.ReadQ)
+				in := slices.Contains(c.ReadQ[r.Domain], r)
+				if err := c.RemoveRead(r); (err == nil) != in {
+					t.Fatalf("seed %d step %d: RemoveRead err=%v, queued=%v", seed, step, err, in)
+				}
+			case op == 6:
+				r := pick(c.WriteQ)
+				in := slices.Contains(c.WriteQ[r.Domain], r)
+				if err := c.RemoveWrite(r); (err == nil) != in {
+					t.Fatalf("seed %d step %d: RemoveWrite err=%v, queued=%v", seed, step, err, in)
+				}
+			case op == 7:
+				c.PopRead(d)
+			case op == 8:
+				c.PopWrite(d)
+			default:
+				// Several arrivals often share a cycle, in any domain order.
+				c.Cycle += int64(rng.Intn(3))
+			}
+			if got, want := c.ReadAge(), ageOracle(c.ReadQ); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: ReadAge out of order", seed, step)
+			}
+			if got, want := c.WriteAge(), ageOracle(c.WriteQ); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: WriteAge out of order", seed, step)
+			}
+			if r, w := queued(c.ReadQ), queued(c.WriteQ); c.PendingReads() != r || c.PendingWrites() != w {
+				t.Fatalf("seed %d step %d: pending %d/%d, queued %d/%d", seed, step,
+					c.PendingReads(), c.PendingWrites(), r, w)
+			}
+		}
 	}
 }

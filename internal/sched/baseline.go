@@ -27,8 +27,22 @@ type Baseline struct {
 	RefreshEnabled  bool
 	refreshDeadline []int64
 
-	// scratch backs gather's age-ordered view, reused across ticks.
-	scratch []*mem.Request
+	// probed[bank] == probeGen marks a (rank, bank), indexed
+	// rank*BanksPerRank+bank, whose command the current serve call already
+	// found illegal. Legality depends only on the command kind, rank, bank
+	// and cycle, and within one serve call the bank's state fixes the kind:
+	// ACT for a closed bank, CAS for an open row some request of the class
+	// hits, otherwise PRE (never for a row a queued request wants). So a
+	// second request to the bank would be refused the same way.
+	probed   []uint32
+	probeGen uint32
+
+	// wanted[bank] reports whether any queued request, read or write, still
+	// wants the bank's open row. It is built lazily once per Tick: nothing
+	// changes the queues or the banks until a command issues, and Tick
+	// returns as soon as one does.
+	wanted      []bool
+	wantedBuilt bool
 }
 
 // NewBaseline builds the baseline policy for the given parameters and
@@ -44,6 +58,8 @@ func NewBaseline(p dram.Params, cfg mem.Config) *Baseline {
 	for r := range b.refreshDeadline {
 		b.refreshDeadline[r] = int64(p.TREFI)
 	}
+	b.probed = make([]uint32, p.TotalBanks())
+	b.wanted = make([]bool, p.TotalBanks())
 	return b
 }
 
@@ -76,6 +92,7 @@ func (b *Baseline) NextEvent(c *mem.Controller) int64 {
 
 // Tick issues at most one command according to FR-FCFS priorities.
 func (b *Baseline) Tick(c *mem.Controller) {
+	b.wantedBuilt = false
 	if b.RefreshEnabled && b.tickRefresh(c) {
 		return
 	}
@@ -105,15 +122,25 @@ func (b *Baseline) Tick(c *mem.Controller) {
 //  2. activate for the oldest request to a closed bank,
 //  3. precharge for a bank whose oldest request is a row conflict and no
 //     queued request still wants the open row.
+//
+// Each (rank, bank) is probed at most once per call (see probed).
 func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
-	reqs := b.gather(c, writes)
+	reqs := c.ReadAge()
+	if writes {
+		reqs = c.WriteAge()
+	}
 	if len(reqs) == 0 {
 		return false
+	}
+	b.probeGen++
+	if b.probeGen == 0 { // wrapped: stale marks could collide
+		clear(b.probed)
+		b.probeGen = 1
 	}
 
 	// 1. Row hits, oldest first.
 	for _, r := range reqs {
-		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row {
+		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row && b.firstProbe(r.Addr) {
 			if b.issueCAS(c, r, writes) {
 				return true
 			}
@@ -121,7 +148,7 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 	}
 	// 2. Activates for closed banks, oldest first.
 	for _, r := range reqs {
-		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow {
+		if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == dram.ClosedRow && b.firstProbe(r.Addr) {
 			cmd := dram.Command{Kind: dram.KindActivate, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Row: r.Addr.Row, Domain: r.Domain}
 			if c.TryIssue(cmd) {
 				c.RecordFirstCommand(r)
@@ -133,10 +160,10 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 	// 3. Precharge row conflicts with no remaining hits to the open row.
 	for _, r := range reqs {
 		open := c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank)
-		if open == dram.ClosedRow || open == r.Addr.Row {
+		if open == dram.ClosedRow || open == r.Addr.Row || !b.firstProbe(r.Addr) {
 			continue
 		}
-		if b.anyWantsRow(c, r.Addr.Rank, r.Addr.Bank, open) {
+		if b.openRowWanted(c, r.Addr) {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.KindPrecharge, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Domain: r.Domain}
@@ -147,45 +174,42 @@ func (b *Baseline) serve(c *mem.Controller, writes bool) bool {
 	return false
 }
 
-// gather flattens per-domain queues into a single age-ordered view.
-func (b *Baseline) gather(c *mem.Controller, writes bool) []*mem.Request {
-	qs := c.ReadQ
-	if writes {
-		qs = c.WriteQ
+// firstProbe reports whether the serve call has not yet probed the
+// address's bank, and marks it probed. The caller's probe either issues,
+// ending the Tick, or fails as every later probe of the bank would.
+func (b *Baseline) firstProbe(a dram.Address) bool {
+	i := a.Rank*b.p.BanksPerRank + a.Bank
+	if b.probed[i] == b.probeGen {
+		return false
 	}
-	out := b.scratch[:0]
-	for _, q := range qs {
-		out = append(out, q...)
-	}
-	// Insertion sort by arrival: queues are individually ordered and small.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Arrive < out[j-1].Arrive; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	b.scratch = out
-	return out
+	b.probed[i] = b.probeGen
+	return true
 }
 
-func (b *Baseline) anyWantsRow(c *mem.Controller, rank, bank, row int) bool {
-	for _, qs := range [][][]*mem.Request{c.ReadQ, c.WriteQ} {
-		for _, q := range qs {
+// openRowWanted reports whether any queued request of either class targets
+// the row open in the address's bank, building the per-bank table on first
+// use in a Tick.
+func (b *Baseline) openRowWanted(c *mem.Controller, a dram.Address) bool {
+	if !b.wantedBuilt {
+		clear(b.wanted)
+		for _, q := range [2][]*mem.Request{c.ReadAge(), c.WriteAge()} {
 			for _, r := range q {
-				if r.Addr.Rank == rank && r.Addr.Bank == bank && r.Addr.Row == row {
-					return true
+				if c.Chan.OpenRow(r.Addr.Rank, r.Addr.Bank) == r.Addr.Row {
+					b.wanted[r.Addr.Rank*b.p.BanksPerRank+r.Addr.Bank] = true
 				}
 			}
 		}
+		b.wantedBuilt = true
 	}
-	return false
+	return b.wanted[a.Rank*b.p.BanksPerRank+a.Bank]
 }
 
 func (b *Baseline) issueCAS(c *mem.Controller, r *mem.Request, write bool) bool {
 	kind := dram.KindRead
-	dataStart := b.p.ReadDataStart()
+	dataStart := b.p.TCAS
 	if write {
 		kind = dram.KindWrite
-		dataStart = b.p.WriteDataStart()
+		dataStart = b.p.TCWD
 	}
 	cmd := dram.Command{Kind: kind, Rank: r.Addr.Rank, Bank: r.Addr.Bank, Col: r.Addr.Col, Domain: r.Domain}
 	if !c.TryIssue(cmd) {

@@ -256,3 +256,33 @@ func TestTPNoPartitioningIsTimingLegal(t *testing.T) {
 		t.Fatalf("served %d of 16 same-bank reads", served)
 	}
 }
+
+// TestBaselineTickAllocatesNothing pins the steady-state cost of the
+// FR-FCFS hot loop: with every domain's queues full, a tick that probes,
+// issues and retires requests allocates nothing.
+func TestBaselineTickAllocatesNothing(t *testing.T) {
+	c, b := baselineCtl(8)
+	b.RefreshEnabled = true
+	for d := 0; d < c.Cfg.Domains; d++ {
+		for i := 0; i < c.Cfg.ReadCap; i++ {
+			c.EnqueueRead(d, addr(i%8, (d+i)%8, i%3), nil)
+		}
+		for i := 0; i < c.Cfg.WriteCap/8; i++ {
+			c.EnqueueWrite(d, addr(d%8, i%8, i%2))
+		}
+	}
+	tick(c, 200) // warm the completion heap and the probe tables
+	before := c.Chan.Counters.CmdBusBusy
+	// AllocsPerRun reports whole allocations per run, so each run spans
+	// enough cycles that even one allocation per issued command shows.
+	allocs := testing.AllocsPerRun(10, func() { tick(c, 20) })
+	if c.Chan.Counters.CmdBusBusy == before {
+		t.Fatal("no command issued while measuring")
+	}
+	if c.PendingReads() < c.Cfg.ReadCap*c.Cfg.Domains/2 {
+		t.Fatalf("queues drained to %d reads: not a saturated controller", c.PendingReads())
+	}
+	if allocs != 0 {
+		t.Fatalf("20 Baseline ticks allocated %.0f times, want 0", allocs)
+	}
+}

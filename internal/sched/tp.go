@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fsmem/internal/dram"
 	"fsmem/internal/mem"
@@ -86,11 +87,7 @@ type TP struct {
 
 	lastAct     int64 // cycle of the last intra-turn ACT
 	lastActTurn int64
-	started     []*inflight
-}
-
-type inflight struct {
-	req *mem.Request
+	started     []*mem.Request // activated, awaiting their CAS+AP
 }
 
 // NewTP builds a TP scheduler with the given turn length in bus cycles
@@ -135,9 +132,9 @@ func (t *TP) Tick(c *mem.Controller) {
 
 	// Finish transactions already activated: issue their CAS+AP. The
 	// reserve guarantees these belong to the current turn's owner.
-	for i, fl := range t.started {
-		if t.issueCAS(c, fl.req) {
-			t.started = append(t.started[:i], t.started[i+1:]...)
+	for i, req := range t.started {
+		if t.issueCAS(c, req) {
+			t.started = slices.Delete(t.started, i, i+1)
 			return
 		}
 	}
@@ -170,7 +167,7 @@ func (t *TP) Tick(c *mem.Controller) {
 	if err != nil {
 		c.ReportViolation(err)
 	}
-	t.started = append(t.started, &inflight{req: req})
+	t.started = append(t.started, req)
 }
 
 // pick chooses the oldest eligible request of the domain (reads before
@@ -193,8 +190,8 @@ func (t *TP) pick(c *mem.Controller, domain int) *mem.Request {
 }
 
 func (t *TP) bankBusy(rank, bank int) bool {
-	for _, fl := range t.started {
-		if fl.req.Addr.Rank == rank && fl.req.Addr.Bank == bank {
+	for _, req := range t.started {
+		if req.Addr.Rank == rank && req.Addr.Bank == bank {
 			return true
 		}
 	}
@@ -203,10 +200,10 @@ func (t *TP) bankBusy(rank, bank int) bool {
 
 func (t *TP) issueCAS(c *mem.Controller, req *mem.Request) bool {
 	kind := dram.KindReadAP
-	dataStart := t.p.ReadDataStart()
+	dataStart := t.p.TCAS
 	if req.Write {
 		kind = dram.KindWriteAP
-		dataStart = t.p.WriteDataStart()
+		dataStart = t.p.TCWD
 	}
 	cmd := dram.Command{Kind: kind, Rank: req.Addr.Rank, Bank: req.Addr.Bank, Col: req.Addr.Col, Domain: req.Domain}
 	if !c.TryIssue(cmd) {
