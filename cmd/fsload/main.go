@@ -157,7 +157,7 @@ func main() {
 	sched := flag.String("sched", "fs_bp", "scheduler for generated simulate jobs")
 	cores := flag.Int("cores", 2, "cores for generated simulate jobs")
 	reads := flag.Int64("reads", 500, "reads per generated simulate job")
-	poll := flag.Duration("poll", 10*time.Millisecond, "status poll interval")
+	poll := flag.Duration("poll", 10*time.Millisecond, "status re-check interval when a job's event stream breaks or is refused (waits follow the stream)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall deadline")
 	retries := flag.Int("retries", 0, "client retry attempts per request (0 = no retries; chaos-kill defaults to 10)")
 	reportPath := flag.String("report", "", "write the JSON report to this file")

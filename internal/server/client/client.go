@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -252,21 +253,36 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.JobStatus, error
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state (or ctx expires)
-// and returns the final status.
+// Wait blocks until the job reaches a terminal state (or ctx expires)
+// and returns the final status. It checks the status once; a live job
+// is then followed on its event stream, so Wait wakes the moment the
+// job finishes. poll only paces the status re-check after a stream
+// that ended without a terminal event (refused, cut, or closed by a
+// drain): a server that refuses the stream is polled at poll from then
+// on, and a stream that breaks is re-opened at most once per poll.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
 	}
 	t := time.NewTicker(poll)
 	defer t.Stop()
+	stream := true
 	for {
 		st, err := c.Job(ctx, id)
-		if err != nil {
+		if err != nil || st.State.Terminal() {
 			return st, err
 		}
-		if st.State.Terminal() {
-			return st, nil
+		if stream {
+			terminal := false
+			err := c.Events(ctx, id, func(ev server.JobEvent) bool {
+				terminal = ev.State.Terminal()
+				return true
+			})
+			if terminal {
+				continue // the re-check returns the final status
+			}
+			var ae *APIError
+			stream = !errors.As(err, &ae)
 		}
 		select {
 		case <-ctx.Done():
@@ -330,8 +346,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.JobEvent)
 		data, _ := io.ReadAll(resp.Body)
 		return decodeError(resp.StatusCode, data, resp.Header)
 	}
+	// The scanner starts at its small default buffer and grows only for
+	// a long event line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
@@ -345,6 +363,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.JobEvent)
 			return nil
 		}
 		if ev.State.Terminal() {
+			// The server ends the stream after the terminal event; reading
+			// to EOF hands the keep-alive connection back for reuse. A
+			// failed read only costs that reuse.
+			_, _ = io.Copy(io.Discard, resp.Body)
 			return nil
 		}
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,11 +26,18 @@ import (
 // returns its base URL — which doubles as its fleet identity.
 func startWorker(t *testing.T) string {
 	t.Helper()
+	return startWrappedWorker(t, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrappedWorker is startWorker with wrap around the daemon's
+// handler.
+func startWrappedWorker(t *testing.T, wrap func(http.Handler) http.Handler) string {
+	t.Helper()
 	s, err := server.New(server.Options{Workers: 2, RatePerSec: 100_000})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(wrap(s.Handler()))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Drain(context.Background())
@@ -43,7 +53,6 @@ func startCoordinator(t *testing.T, workers []string, tweak func(*Options)) (*Co
 	o := Options{
 		Workers:           workers,
 		HeartbeatInterval: 15 * time.Millisecond,
-		PollInterval:      2 * time.Millisecond,
 	}
 	if tweak != nil {
 		tweak(&o)
@@ -438,5 +447,216 @@ func TestClusterRegister(t *testing.T) {
 	seeds := ownedBy(t, c, second, 1)
 	if st, _ := runJob(t, cl, simReq(seeds[0], 300)); st.Worker != second {
 		t.Fatalf("job owned by joined worker ran on %q", st.Worker)
+	}
+}
+
+// TestCoordinatorEvents pins the coordinator's /events endpoint: 404
+// not_found for an unknown job, like a worker; a routed job's stream
+// ends with its done event; and a finished job's stream is that one
+// event.
+func TestCoordinatorEvents(t *testing.T) {
+	_, cl := startCoordinator(t, []string{startWorker(t)}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	err := cl.Events(ctx, "jdeadbeef", func(server.JobEvent) bool { return true })
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound || ae.Code != "not_found" {
+		t.Fatalf("events of an unknown job: %v, want 404 not_found", err)
+	}
+
+	st, err := cl.Submit(ctx, simReq(7, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"live", "finished"} {
+		var evs []server.JobEvent
+		if err := cl.Events(ctx, st.ID, func(ev server.JobEvent) bool {
+			evs = append(evs, ev)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		last := evs[len(evs)-1]
+		if last.State != server.StateDone || last.Phase != string(server.StateDone) || last.Seq != len(evs)-1 {
+			t.Fatalf("%s job: events %+v must end in done", stage, evs)
+		}
+		if stage == "finished" && len(evs) != 1 {
+			t.Fatalf("finished job: %d events, want the done event only", len(evs))
+		}
+	}
+}
+
+// TestClusterWaitWakesOnCompletion pins the event-driven wait through a
+// coordinator: with an hour as the poll interval, a job that finishes in
+// milliseconds still returns done at once.
+func TestClusterWaitWakesOnCompletion(t *testing.T) {
+	_, cl := startCoordinator(t, []string{startWorker(t)}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := cl.Submit(ctx, simReq(9, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	st, err = cl.Wait(ctx, st.ID, time.Hour)
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("wait: %v, state %s (%s)", err, st.State, st.Error)
+	}
+	if d := time.Since(t0); d > 10*time.Second {
+		t.Fatalf("wait took %v for a job of milliseconds", d)
+	}
+}
+
+// TestClusterDispatchFollowsEvents pins that a dispatch waits on the
+// worker's event stream rather than polling it: a job that runs for a
+// few hundred milliseconds costs the worker at most two status requests
+// (the check before the stream and the final status after it).
+func TestClusterDispatchFollowsEvents(t *testing.T) {
+	var statuses atomic.Int64
+	worker := startWrappedWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rest, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/")
+			if ok && r.Method == http.MethodGet && !strings.Contains(rest, "/") {
+				statuses.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	_, cl := startCoordinator(t, []string{worker}, nil)
+	st, _ := runJob(t, cl, simReq(11, 60_000))
+	if st.State != server.StateDone {
+		t.Fatalf("job ended %s", st.State)
+	}
+	if n := statuses.Load(); n > 2 {
+		t.Fatalf("dispatch made %d worker status requests, want at most 2", n)
+	}
+}
+
+// TestClusterStealsFromParkedStream pins work stealing from the new
+// parking point: a worker that accepts the job, reports it running and
+// holds its event stream open forever has the stream aborted by its
+// health epoch, and the job completes on the live worker.
+func TestClusterStealsFromParkedStream(t *testing.T) {
+	live := startWorker(t)
+
+	var sick atomic.Bool
+	parked := make(chan struct{}, 1)
+	stop := make(chan struct{})
+	running := func(w http.ResponseWriter, id string) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(server.JobStatus{ID: id, Kind: server.KindSimulate, State: server.StateRunning})
+	}
+	victimTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			if sick.Load() {
+				http.Error(w, "sick", http.StatusInternalServerError)
+				return
+			}
+			fmt.Fprintln(w, "ok")
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			var req server.JobRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			id, _, _ := server.Canonicalize(&req)
+			w.WriteHeader(http.StatusAccepted)
+			running(w, id)
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprintf(w, "event: running\ndata: {\"seq\":0,\"phase\":\"running\",\"state\":\"running\"}\n\n")
+			w.(http.Flusher).Flush()
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			select { // hold the stream open
+			case <-r.Context().Done():
+			case <-stop:
+			}
+		default:
+			running(w, strings.TrimPrefix(r.URL.Path, "/v1/jobs/"))
+		}
+	}))
+	t.Cleanup(victimTS.Close)
+	t.Cleanup(func() { close(stop) }) // LIFO: unblock handlers before Close waits on them
+	victim := victimTS.URL
+
+	c, cl := startCoordinator(t, []string{live, victim}, func(o *Options) {
+		o.FailAfter = 2
+	})
+	seed := ownedBy(t, c, victim, 1)[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := cl.Submit(ctx, simReq(seed, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never parked on the victim's event stream")
+	}
+	sick.Store(true)
+
+	st, err = cl.Wait(ctx, st.ID, time.Hour)
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("wait: %v, state %s (%s)", err, st.State, st.Error)
+	}
+	if st.Worker != live {
+		t.Fatalf("stolen job completed on %q, want %q", st.Worker, live)
+	}
+	cs := c.Status()
+	if cs.Failed != 0 || cs.Steals < 1 {
+		t.Fatalf("failed=%d steals=%d, want 0 and >= 1", cs.Failed, cs.Steals)
+	}
+}
+
+// TestClusterEventWaitsReleaseGoroutines pins that event-driven waits
+// hold nothing past their job: after 50 jobs through a coordinator and a
+// worker, draining and closing both returns the goroutine count to
+// where it started.
+func TestClusterEventWaitsReleaseGoroutines(t *testing.T) {
+	idle := func() { http.DefaultTransport.(*http.Transport).CloseIdleConnections() }
+	idle()
+	before := runtime.NumGoroutine()
+
+	s, err := server.New(server.Options{Workers: 2, RatePerSec: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts := httptest.NewServer(s.Handler())
+	c, err := New(Options{Workers: []string{wts.URL}, HeartbeatInterval: 15 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(c.Handler())
+	cl := client.New(cts.URL, cts.Client())
+	for seed := uint64(1); seed <= 50; seed++ {
+		runJob(t, cl, simReq(seed, 1000))
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Drain(dctx); err != nil {
+		t.Fatal(err)
+	}
+	cts.Close()
+	s.Drain(dctx)
+	wts.Close()
+	cts.Client().CloseIdleConnections()
+
+	const slack = 5
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		idle()
+		n := runtime.NumGoroutine()
+		if n <= before+slack {
+			return
+		}
+		if time.Now().After(deadline) {
+			var buf bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&buf, 1)
+			t.Fatalf("%d goroutines after drain, %d before (slack %d):\n%s", n, before, slack, buf.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

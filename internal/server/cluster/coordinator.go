@@ -55,9 +55,6 @@ type Options struct {
 	// QueueDepth bounds accepted-but-unfinished jobs; beyond it new
 	// submissions get 429 queue_full (0 = 256).
 	QueueDepth int
-	// PollInterval paces worker status polls for dispatched jobs
-	// (0 = 10ms).
-	PollInterval time.Duration
 	// RequestTimeout bounds request handling (0 = 30s); DrainTimeout
 	// bounds graceful drain (0 = 60s).
 	RequestTimeout time.Duration
@@ -88,9 +85,6 @@ func (o *Options) fill() {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 10 * time.Millisecond
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -131,6 +125,16 @@ func (j *job) status() server.JobStatus {
 		s.ErrorCode = string(fsmerr.CodeOf(j.err))
 	}
 	return s
+}
+
+// event renders the job's current state as an SSE event.
+func (j *job) event() server.JobEvent {
+	st := j.status()
+	ev := server.JobEvent{Phase: string(st.State), State: st.State, Error: st.Error}
+	if st.State == server.StateDone {
+		ev.Done, ev.Total = 1, 1
+	}
+	return ev
 }
 
 func (j *job) setRunning(worker string) {
@@ -454,7 +458,11 @@ func (c *Coordinator) runOn(j *job, m *Member) error {
 		return fmt.Errorf("worker %s submit: %w", m.Name, err)
 	}
 	if !st.State.Terminal() {
-		st, err = m.cl.Wait(ctx, st.ID, c.opts.PollInterval)
+		// Wait follows the worker's event stream, so the attempt wakes
+		// when the job finishes; an epoch cancel aborts the parked stream
+		// like any other request. A broken stream is re-checked at the
+		// heartbeat pace.
+		st, err = m.cl.Wait(ctx, st.ID, c.opts.HeartbeatInterval)
 		if err != nil {
 			m.failedJobs.Add(1)
 			return fmt.Errorf("worker %s wait: %w", m.Name, err)
@@ -539,7 +547,7 @@ func (c *Coordinator) verify(j *job, firstWorker string, want []byte) {
 	defer cancel()
 	st, err := second.cl.Submit(ctx, j.Req)
 	if err == nil && !st.State.Terminal() {
-		st, err = second.cl.Wait(ctx, st.ID, c.opts.PollInterval)
+		st, err = second.cl.Wait(ctx, st.ID, c.opts.HeartbeatInterval)
 	}
 	if err != nil || st.State != server.StateDone {
 		c.verifyErrors.Add(1)
@@ -689,6 +697,8 @@ func (c *Coordinator) buildRoutes() {
 	mux.Handle("GET /v1/jobs/{id}/result", timeout(c.handleResult))
 	mux.Handle("GET /v1/cluster", timeout(c.handleCluster))
 	mux.Handle("POST /v1/cluster/register", timeout(c.handleRegister))
+	// SSE must flush incrementally; TimeoutHandler would buffer it.
+	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
 	c.mux = mux
 }
 
@@ -784,6 +794,33 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(result)
+}
+
+// handleEvents streams the job's lifecycle as server-sent events in the
+// worker's format: the current state, then the terminal state once the
+// job finishes (or the client disconnects). It does not relay the
+// worker's per-cell progress events.
+func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := c.job(w, r)
+	if !ok {
+		return
+	}
+	var last server.JobEvent
+	server.ServeEvents(w, func(seq int) (server.JobEvent, bool) {
+		if last.State.Terminal() {
+			return last, false
+		}
+		if seq > 0 {
+			select {
+			case <-j.done:
+			case <-r.Context().Done():
+				return last, false
+			}
+		}
+		last = j.event()
+		last.Seq = seq
+		return last, true
+	})
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, _ *http.Request) {

@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"sync"
 )
 
@@ -65,4 +68,31 @@ func (l *eventLog) next(ctx context.Context, cursor int) (JobEvent, bool) {
 		return l.events[cursor], true
 	}
 	return JobEvent{}, false
+}
+
+// ServeEvents writes a server-sent event stream: next(seq) returns the
+// event at seq, or false when the stream is over. The daemon and the
+// cluster coordinator share this framing, which client.Events parses.
+func ServeEvents(w http.ResponseWriter, next func(seq int) (JobEvent, bool)) {
+	flusher, canFlush := w.(http.Flusher)
+	if !canFlush {
+		writeError(w, http.StatusNotImplemented, "no_stream", "response writer cannot stream")
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	for seq := 0; ; seq++ {
+		ev, ok := next(seq)
+		if !ok {
+			return
+		}
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return
+		}
+		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Phase, data)
+		flusher.Flush()
+	}
 }

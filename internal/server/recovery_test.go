@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"fsmem/internal/fault"
+	"fsmem/internal/fsmerr"
 )
 
 // durableOpts is the standard manager config for the crash tests: one
@@ -216,6 +220,37 @@ func TestPoisonJobQuarantine(t *testing.T) {
 	}
 	if got := m2.executed.Load(); got != 0 {
 		t.Fatalf("restarted manager executed a quarantined job %d times", got)
+	}
+}
+
+// TestResultOfQuarantinedJob pins the result endpoint's answer for a
+// parked poison job: a 409 carrying the job's own error code, never
+// not_done, which would tell the client to wait on a job that will not
+// finish.
+func TestResultOfQuarantinedJob(t *testing.T) {
+	s, err := New(Options{Workers: 1, QuarantineAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	s.manager.testRun = func(ctx context.Context, j *Job) (*cacheEntry, error) {
+		panic("poison config: simulator invariant violated")
+	}
+	j, _, err := s.manager.Submit(smallSim(73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateQuarantined {
+		t.Fatalf("poison job ended %s, want quarantined", st.State)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/result", nil))
+	var body ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("decoding %q: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusConflict || body.Code != string(fsmerr.CodePanic) {
+		t.Fatalf("result of a quarantined job: %d %s (%s), want 409 %s", rec.Code, body.Code, body.Error, fsmerr.CodePanic)
 	}
 }
 

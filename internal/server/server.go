@@ -306,7 +306,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	status := j.Status()
 	entry, done := j.Result()
 	if !done {
-		if status.State == StateFailed || status.State == StateCanceled {
+		if status.State.Terminal() { // failed, canceled or quarantined: it will never finish
 			writeError(w, http.StatusConflict, status.ErrorCode, "job %s: %s", status.State, status.Error)
 			return
 		}
@@ -361,27 +361,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeError(w, http.StatusNotImplemented, "no_stream", "response writer cannot stream")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	for cursor := 0; ; cursor++ {
-		ev, ok := j.events.next(r.Context(), cursor)
-		if !ok {
-			return
-		}
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Phase, data)
-		flusher.Flush()
-	}
+	ServeEvents(w, func(cursor int) (JobEvent, bool) { return j.events.next(r.Context(), cursor) })
 }
 
 // Serve listens on o.Addr and runs the daemon until ctx is canceled,
